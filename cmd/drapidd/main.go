@@ -151,7 +151,9 @@ func main() {
 	// which is what drains the streams).
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
+	shutdown := make(chan struct{})
 	go func() {
+		defer close(shutdown)
 		<-ctx.Done()
 		logger.Info("shutdown: draining in-flight jobs", "bound", drainWait.String())
 		drainCtx, cancel := context.WithTimeout(context.Background(), *drainWait)
@@ -171,6 +173,9 @@ func main() {
 	if err := srv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		fatal("server failed", "err", err)
 	}
+	// ListenAndServe returns as soon as Shutdown begins; returning before
+	// Shutdown does would cut the streams it is still draining.
+	<-shutdown
 }
 
 // newLogger builds the process logger: JSON lines, or key=value text
@@ -252,7 +257,9 @@ func runWorker(addr, debugAddr string, workers, blobCacheMiB int, drainWait time
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
+	shutdown := make(chan struct{})
 	go func() {
+		defer close(shutdown)
 		<-ctx.Done()
 		shutdownCtx, cancel := context.WithTimeout(context.Background(), drainWait)
 		defer cancel()
@@ -262,6 +269,9 @@ func runWorker(addr, debugAddr string, workers, blobCacheMiB int, drainWait time
 	if err := srv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		return err
 	}
+	// ListenAndServe returns as soon as Shutdown begins: wait for it to
+	// finish the in-flight shard streams.
+	<-shutdown
 	return nil
 }
 

@@ -118,7 +118,10 @@ type DetectJob struct {
 	// Threshold is the detection SNR cut; zero takes 6.
 	Threshold float64
 	// NormWindow is the running mean/variance normalisation window in
-	// samples; zero normalises each trial by its global moments.
+	// samples; zero takes sps.DefaultNormWindow (2048). Whole-file,
+	// block-streaming and sharded jobs all resolve the same default, so
+	// none of BlockSamples, FilterbankStream or ShardBy changes what a
+	// default job normalises against.
 	NormWindow int
 	// NoZeroDM disables the zero-DM broadband-RFI filter
 	// (sps.ZeroDMFilter), which detect jobs otherwise apply before
@@ -138,12 +141,12 @@ type DetectJob struct {
 	// clustered and identified segment by segment — streamed out while
 	// later blocks are still being searched — instead of after the full
 	// search. BlockSamples must cover the largest trial's dispersion sweep
-	// (undersized blocks fail with a clear error). Zero keeps today's
-	// whole-file batch path (unless FilterbankStream is set, which
-	// defaults it to DefaultBlockSamples). In streaming mode a zero
-	// NormWindow uses the frontend's DefaultNormWindow, since global
-	// moments need the whole series; DetectSeconds then covers the whole
-	// interleaved ingest-to-candidate loop.
+	// (undersized blocks fail with a clear error). Zero searches the whole
+	// file at once (unless FilterbankStream is set, which defaults it to
+	// DefaultBlockSamples). The detections and the ranked view are the
+	// same either way, barring the RFI-storm force-flush of DESIGN.md
+	// §7.3; candidates differ only in ClusterRank, which a streamed job
+	// ranks within each segment.
 	BlockSamples int
 	// Shards splits the search across the engine's worker fleet (DESIGN.md
 	// §9): the job is planned into this many shards, dispatched over the
@@ -154,8 +157,8 @@ type DetectJob struct {
 	// (FilterbankStream, BlockSamples); zero or one runs unsharded.
 	Shards int
 	// ShardBy picks the shard axis: ShardByDM (the default, bit-exact) or
-	// ShardByTime (bounded per-worker input, approximate at seams,
-	// requires an explicit NormWindow).
+	// ShardByTime (bounded per-worker input, approximate at seams). Both
+	// take NormWindow's default like an unsharded job.
 	ShardBy string
 	// PartitionsPerCore overrides the engine default when positive.
 	PartitionsPerCore int
@@ -199,6 +202,12 @@ func (spec DetectJob) validate() (lo, hi, step float64, kind sps.PlanKind, err e
 	if spec.BlockSamples < 0 {
 		return fail(fmt.Errorf("drapid: BlockSamples must be >= 0, got %d", spec.BlockSamples))
 	}
+	for _, v := range []float64{spec.DMMin, spec.DMMax, spec.DMStep, spec.Threshold} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fail(fmt.Errorf("drapid: DMMin %g, DMMax %g, DMStep %g and Threshold %g must be finite",
+				spec.DMMin, spec.DMMax, spec.DMStep, spec.Threshold))
+		}
+	}
 	lo, hi, step = spec.DMMin, spec.DMMax, spec.DMStep
 	if lo == 0 && hi == 0 && step == 0 {
 		lo, hi, step = 0, 300, 1
@@ -224,11 +233,7 @@ func (spec DetectJob) validate() (lo, hi, step float64, kind sps.PlanKind, err e
 		return fail(fmt.Errorf("drapid: Shards must be >= 0, got %d", spec.Shards))
 	}
 	switch spec.ShardBy {
-	case "", ShardByDM:
-	case ShardByTime:
-		if spec.Shards > 1 && spec.NormWindow <= 0 {
-			return fail(fmt.Errorf("drapid: time sharding requires an explicit NormWindow (global-moment normalisation cannot be sliced)"))
-		}
+	case "", ShardByDM, ShardByTime:
 	default:
 		return fail(fmt.Errorf("drapid: unknown ShardBy %q (want %q or %q)", spec.ShardBy, ShardByDM, ShardByTime))
 	}
@@ -307,12 +312,15 @@ func (e *Engine) submitDetect(ctx context.Context, spec DetectJob, forceID strin
 			return nil, err
 		}
 	}
-	work := e.detectWork(j, spec, grid, kind)
-	if spec.Shards > 1 {
-		work = e.detectWorkFleet(j, spec, grid)
-	}
-	go j.run(work)
+	go j.run(e.detectWork(j, spec, grid, kind))
 	return j, nil
+}
+
+// shardsByDM reports whether the job runs as DM shards on the fleet: the
+// sharded source whose merge is one barrier batch and whose shards address
+// the whole observation by digest.
+func (spec DetectJob) shardsByDM() bool {
+	return spec.Shards > 1 && spec.ShardBy != ShardByTime
 }
 
 // detectGrid builds the one-stage trial plan holding exactly the DMs
@@ -324,94 +332,94 @@ func detectGrid(lo, hi, step float64) (*dmgrid.Grid, error) {
 	return dmgrid.New([]dmgrid.Stage{{Lo: lo, Hi: lo + n*step, Step: step}})
 }
 
-// detectWork is the detect job's work function: frontend search, stage-2
-// clustering, upload, then the shared identification pipeline. kind is
-// the dedispersion plan validate already parsed from spec.Plan. Jobs with
-// BlockSamples (or a FilterbankStream) take the bounded-memory streaming
-// path instead, which runs the same stages segment by segment.
+// detectWork is the detect job's one work function: ingest, then an event
+// source — the whole observation searched at once, its blocks searched as
+// they are read (BlockSamples or a FilterbankStream), or the merged stream
+// of a sharded fleet run — feeding the segmenter, which clusters, uploads
+// and identifies the events; then the ranked sift view. kind is the
+// dedispersion plan validate already parsed from spec.Plan. DetectSeconds
+// runs from the start of the work to the final sift view, and every stage
+// wall in the job's trace partitions it (DESIGN.md §10.2).
 func (e *Engine) detectWork(j *Job, spec DetectJob, grid *dmgrid.Grid, kind sps.PlanKind) func() (Result, error) {
-	if spec.BlockSamples > 0 || spec.FilterbankStream != nil {
-		return e.detectWorkStream(j, spec, grid, kind)
-	}
 	return func() (Result, error) {
 		start := time.Now()
-		ingest := j.trace.Span(sps.StageIngest)
-		var fb *sps.Filterbank
-		var err error
-		if spec.Synth != nil {
-			fb, err = sps.Generate(spec.Synth.internal())
-		} else {
-			fb, err = sps.Read(bytes.NewReader(spec.Filterbank))
-		}
-		if err != nil {
-			ingest.End()
-			return Result{}, fmt.Errorf("drapid: reading filterbank: %w", err)
-		}
-		ingest.SetRecords(0, int64(fb.NSamples))
-		ingest.AddBytes(int64(len(fb.Data)) * 4)
-		ingest.End()
-		events, searchStats, err := sps.Search(j.ctx, fb, sps.Config{
-			DMs:        grid.Trials(),
-			Widths:     spec.Widths,
-			Threshold:  spec.Threshold,
-			NormWindow: spec.NormWindow,
-			ZeroDM:     !spec.NoZeroDM,
-			Plan:       sps.DedispersePlan{Kind: kind},
-			Exec:       e.exec,
-		})
-		if err != nil {
-			return Result{}, fmt.Errorf("drapid: single-pulse search: %w", err)
-		}
-		j.setDetections(len(events))
-		detectSecs := time.Since(start).Seconds()
-		// Batch DetectSeconds stops at the search, so the detect-phase
-		// stages (ingest, zerodm and the apportioned kernels) partition it
-		// here, before any downstream span can join the trace.
-		applyDetectStages(j.trace, searchStats.StageSeconds, detectSecs, detectStageKernels)
-
-		key, err := observationKey(spec.Key, fb.Header)
+		in, err := detectIngest(j, spec)
 		if err != nil {
 			return Result{}, err
 		}
-		cluster := j.trace.Span("cluster")
-		obs := []spe.Observation{{Key: key, Events: events}}
-		prep := pipeline.Prepare(obs, grid, dbscan.DefaultParams())
-		cluster.SetRecords(int64(len(events)), int64(prep.NumClusters()))
-		dataFile := "jobs/" + j.id + "/spe.csv"
-		clusterFile := "jobs/" + j.id + "/clusters.csv"
-		err = prep.Upload(e.fs, dataFile, clusterFile)
-		cluster.End()
+		key, err := observationKey(spec.Key, in.hdr)
 		if err != nil {
-			return Result{}, fmt.Errorf("drapid: uploading detections: %w", err)
-		}
-		if j.sift != nil {
-			sift := j.trace.Span("sift")
-			j.addSiftGroups(siftGroups(obs, prep, 0, j.sift.params))
-			sift.End()
+			return Result{}, err
 		}
 		partsPerCore := e.partsPerCore
 		if spec.PartitionsPerCore > 0 {
 			partsPerCore = spec.PartitionsPerCore
 		}
-		res, err := j.pipelineWork(pipeline.JobConfig{
-			DataFile:          dataFile,
-			ClusterFile:       clusterFile,
-			OutDir:            "jobs/" + j.id + "/ml",
-			PartitionsPerCore: partsPerCore,
-			Params:            detectSearchParams(grid),
-			Feat: features.Config{
+		seg := &segmenter{
+			e: e, j: j, grid: grid, key: key,
+			params:       detectSearchParams(grid),
+			partsPerCore: partsPerCore,
+			feat: features.Config{
 				Grid:    grid,
-				BandMHz: fb.BandwidthMHz(),
-				FreqGHz: fb.CenterFreqGHz(),
+				BandMHz: in.hdr.BandwidthMHz(),
+				FreqGHz: in.hdr.CenterFreqGHz(),
 			},
-			Emit: j.emit,
-		})()
+		}
+		cfg := sps.Config{
+			DMs:          grid.Trials(),
+			Widths:       spec.Widths,
+			Threshold:    spec.Threshold,
+			NormWindow:   spec.NormWindow,
+			ZeroDM:       !spec.NoZeroDM,
+			Plan:         sps.DedispersePlan{Kind: kind},
+			Exec:         e.exec,
+			BlockSamples: spec.BlockSamples,
+		}
+		// Sources that deliver every event in one batch — the whole
+		// observation, a DM-sharded barrier merge — set seg.single: one
+		// Prepare over the lot computes observation-global features
+		// (ClusterRank) over all clusters at once. Block and time-shard
+		// sources stream through the quiet-gap cuts.
+		var (
+			stats     sps.Stats
+			fleetView *FleetProgress
+			source    = "single-pulse search"
+			kernels   = detectStageKernels
+		)
+		switch {
+		case spec.Shards > 1:
+			// From the coordinator's clock every shard-side stage — zerodm
+			// included — is concurrent busy time, so zerodm joins the
+			// apportioned kernels.
+			source = "fleet search"
+			kernels = append([]string{sps.StageZeroDM}, detectStageKernels...)
+			seg.single = spec.shardsByDM()
+			stats, fleetView, err = e.searchFleet(j, spec, grid, in, seg.onEvents)
+		case in.stream != nil:
+			if cfg.BlockSamples == 0 {
+				cfg.BlockSamples = DefaultBlockSamples
+			}
+			stats, err = sps.SearchBlocks(j.ctx, in.hdr, in.stream, cfg, seg.onEvents)
+		case cfg.BlockSamples > 0:
+			stats, err = sps.SearchFilterbank(j.ctx, in.fb, cfg, seg.onEvents)
+		default:
+			seg.single = true
+			var events []spe.SPE
+			if events, stats, err = sps.Search(j.ctx, in.fb, cfg); err == nil {
+				err = seg.onEvents(events)
+			}
+		}
 		if err != nil {
+			return Result{}, fmt.Errorf("drapid: %s: %w", source, err)
+		}
+		if err := seg.finish(); err != nil {
 			return Result{}, err
 		}
-		res.Detections = len(events)
-		res.DetectSeconds = detectSecs
-		res.Plan = searchStats.Plan
+		res := seg.total
+		res.Fleet = fleetView
+		res.Detections = stats.Events
+		res.Plan = stats.Plan
+		res.OutDir = "jobs/" + j.id + "/ml"
 		if j.sift != nil {
 			sift := j.trace.Span("sift")
 			view := j.Top(0)
@@ -419,8 +427,57 @@ func (e *Engine) detectWork(j *Job, spec DetectJob, grid *dmgrid.Grid, kind sps.
 			sift.End()
 			res.TopCandidates, res.Sources = view.Top, view.Sources
 		}
+		res.DetectSeconds = time.Since(start).Seconds()
+		applyDetectStages(j.trace, stats.StageSeconds, res.DetectSeconds, kernels)
 		return res, nil
 	}
+}
+
+// detectInput is an ingested observation: its header plus either the
+// whole data block (fb, and raw when the fleet ships it by digest) or the
+// unread body of a FilterbankStream.
+type detectInput struct {
+	hdr    sps.Header
+	fb     *sps.Filterbank
+	raw    []byte
+	stream *bufio.Reader
+}
+
+// detectIngest is the detect job's ingest step. A FilterbankStream yields
+// only its header here (its blocks are read, and timed as ingest, by the
+// search); Filterbank bytes are parsed and a Synth spec generated, under
+// the ingest span. Synthetic observations are rendered to SIGPROC bytes
+// only for DM shards, which address the observation by digest.
+func detectIngest(j *Job, spec DetectJob) (detectInput, error) {
+	if spec.FilterbankStream != nil {
+		rd := bufio.NewReaderSize(spec.FilterbankStream, 1<<16)
+		hdr, err := sps.ReadHeader(rd)
+		if err != nil {
+			return detectInput{}, fmt.Errorf("drapid: reading filterbank header: %w", err)
+		}
+		return detectInput{hdr: hdr, stream: rd}, nil
+	}
+	ingest := j.trace.Span(sps.StageIngest)
+	defer ingest.End()
+	in := detectInput{raw: spec.Filterbank}
+	var err error
+	if spec.Synth != nil {
+		in.fb, err = sps.Generate(spec.Synth.internal())
+		if err == nil && spec.shardsByDM() {
+			var buf bytes.Buffer
+			err = sps.Write(&buf, in.fb)
+			in.raw = buf.Bytes()
+		}
+	} else {
+		in.fb, err = sps.Read(bytes.NewReader(spec.Filterbank))
+	}
+	if err != nil {
+		return detectInput{}, fmt.Errorf("drapid: reading filterbank: %w", err)
+	}
+	in.hdr = in.fb.Header
+	ingest.SetRecords(0, int64(in.fb.NSamples))
+	ingest.AddBytes(int64(len(in.fb.Data)) * 4)
+	return in, nil
 }
 
 // Streaming detect segmentation (DESIGN.md §7.3). Events arrive from the
@@ -436,10 +493,11 @@ const (
 	detectStreamMaxEvents = 1 << 14
 )
 
-// segmenter accumulates streamed events, cuts them into
-// clustering-independent segments, and runs each segment through the same
-// Prepare → upload → identify pipeline the batch path uses, aggregating
-// the per-segment results.
+// segmenter accumulates the events a detect source delivers, cuts them
+// into clustering-independent segments, and runs each segment through
+// Prepare → upload → sift → identify, aggregating the per-segment results.
+// Segment N's inputs land under jobs/<id>/seg-N and its ML part files
+// under jobs/<id>/ml/seg-N.
 type segmenter struct {
 	e            *Engine
 	j            *Job
@@ -451,10 +509,11 @@ type segmenter struct {
 
 	// single defers the one and only flush to finish: the whole event set
 	// goes through a single Prepare, so cross-cluster features computed
-	// over "all clusters of the observation" (ClusterRank) come out
-	// exactly as the batch path's. The fleet's DM-sharded barrier merge
-	// uses this — it already holds every event in memory, so incremental
-	// flushing buys nothing and would re-rank per segment.
+	// over "all clusters of the observation" (ClusterRank) are ranked over
+	// every cluster at once. The whole-observation search and the fleet's
+	// DM-sharded barrier merge use this — they already hold every event in
+	// memory, so incremental flushing buys nothing and would re-rank per
+	// segment.
 	single bool
 
 	pending []spe.SPE
@@ -476,7 +535,11 @@ func (s *segmenter) onEvents(events []spe.SPE) error {
 		return context.Cause(s.j.ctx)
 	}
 	s.j.addDetections(len(events))
-	s.pending = append(s.pending, events...)
+	if len(s.pending) == 0 {
+		s.pending = events // sources hand over fresh slices: take it, no copy
+	} else {
+		s.pending = append(s.pending, events...)
+	}
 	if s.single {
 		return nil
 	}
@@ -567,105 +630,6 @@ func (s *segmenter) flush(n int) error {
 	s.total.RDDStages, s.total.Tasks = res.RDDStages, res.Tasks
 	s.total.ShuffleBytes, s.total.SpillBytes = res.ShuffleBytes, res.SpillBytes
 	return nil
-}
-
-// detectWorkStream is the streaming work function: the block search emits
-// time-ordered event batches as gulps complete, the segmenter clusters and
-// identifies them at quiet gaps, and candidates stream out while the tail
-// of the observation is still being read.
-func (e *Engine) detectWorkStream(j *Job, spec DetectJob, grid *dmgrid.Grid, kind sps.PlanKind) func() (Result, error) {
-	return func() (Result, error) {
-		start := time.Now()
-		block := spec.BlockSamples
-		if block == 0 {
-			block = DefaultBlockSamples
-		}
-		cfg := sps.Config{
-			DMs:          grid.Trials(),
-			Widths:       spec.Widths,
-			Threshold:    spec.Threshold,
-			NormWindow:   spec.NormWindow,
-			ZeroDM:       !spec.NoZeroDM,
-			Plan:         sps.DedispersePlan{Kind: kind},
-			Exec:         e.exec,
-			BlockSamples: block,
-		}
-		var hdr sps.Header
-		var run func(emit func([]spe.SPE) error) (sps.Stats, error)
-		if spec.FilterbankStream != nil {
-			rd := bufio.NewReaderSize(spec.FilterbankStream, 1<<16)
-			h, err := sps.ReadHeader(rd)
-			if err != nil {
-				return Result{}, fmt.Errorf("drapid: reading filterbank header: %w", err)
-			}
-			hdr = h
-			run = func(emit func([]spe.SPE) error) (sps.Stats, error) {
-				return sps.SearchBlocks(j.ctx, hdr, rd, cfg, emit)
-			}
-		} else {
-			ingest := j.trace.Span(sps.StageIngest)
-			var fb *sps.Filterbank
-			var err error
-			if spec.Synth != nil {
-				fb, err = sps.Generate(spec.Synth.internal())
-			} else {
-				fb, err = sps.Read(bytes.NewReader(spec.Filterbank))
-			}
-			if err != nil {
-				ingest.End()
-				return Result{}, fmt.Errorf("drapid: reading filterbank: %w", err)
-			}
-			ingest.SetRecords(0, int64(fb.NSamples))
-			ingest.AddBytes(int64(len(fb.Data)) * 4)
-			ingest.End()
-			hdr = fb.Header
-			run = func(emit func([]spe.SPE) error) (sps.Stats, error) {
-				return sps.SearchFilterbank(j.ctx, fb, cfg, emit)
-			}
-		}
-		key, err := observationKey(spec.Key, hdr)
-		if err != nil {
-			return Result{}, err
-		}
-		partsPerCore := e.partsPerCore
-		if spec.PartitionsPerCore > 0 {
-			partsPerCore = spec.PartitionsPerCore
-		}
-		seg := &segmenter{
-			e: e, j: j, grid: grid, key: key,
-			params:       detectSearchParams(grid),
-			partsPerCore: partsPerCore,
-			feat: features.Config{
-				Grid:    grid,
-				BandMHz: hdr.BandwidthMHz(),
-				FreqGHz: hdr.CenterFreqGHz(),
-			},
-		}
-		stats, err := run(seg.onEvents)
-		if err != nil {
-			return Result{}, fmt.Errorf("drapid: single-pulse search: %w", err)
-		}
-		if err := seg.finish(); err != nil {
-			return Result{}, err
-		}
-		res := seg.total
-		res.Detections = stats.Events
-		res.Plan = stats.Plan
-		res.OutDir = "jobs/" + j.id + "/ml"
-		if j.sift != nil {
-			sift := j.trace.Span("sift")
-			view := j.Top(0)
-			sift.SetRecords(0, int64(len(view.Top)))
-			sift.End()
-			res.TopCandidates, res.Sources = view.Top, view.Sources
-		}
-		// Streaming DetectSeconds covers the whole interleaved loop, so it
-		// is measured after the final sift view and the fold below makes
-		// ALL stage walls partition it (the e2e contract in Result.Stages).
-		res.DetectSeconds = time.Since(start).Seconds()
-		applyDetectStages(j.trace, stats.StageSeconds, res.DetectSeconds, detectStageKernels)
-		return res, nil
-	}
 }
 
 // detectSearchParams adapts Algorithm 1's slope threshold to the detect

@@ -194,6 +194,11 @@ func TestDetectJobValidation(t *testing.T) {
 		"bad DM range":   {Synth: synth, DMMin: 50, DMMax: 10, DMStep: 1},
 		"bad DM step":    {Synth: synth, DMMin: 0, DMMax: 10, DMStep: -1},
 		"bad threshold":  {Synth: synth, Threshold: -2},
+		"NaN threshold":  {Synth: synth, Threshold: math.NaN()},
+		"+Inf DM max":    {Synth: synth, DMMax: math.Inf(1), DMStep: 1},
+		"NaN DM max":     {Synth: synth, DMMax: math.NaN(), DMStep: 1},
+		"NaN DM min":     {Synth: synth, DMMin: math.NaN(), DMMax: 10, DMStep: 1},
+		"+Inf DM step":   {Synth: synth, DMMax: 10, DMStep: math.Inf(1)},
 		"bad buffer":     {Synth: synth, ResultBuffer: -1},
 		"malformed key":  {Synth: synth, Key: "not-a-key"},
 		"bad plan":       {Synth: synth, Plan: "turbo"},

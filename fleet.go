@@ -1,7 +1,6 @@
 package drapid
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -11,17 +10,17 @@ import (
 	"time"
 
 	"drapid/internal/dmgrid"
-	"drapid/internal/features"
 	"drapid/internal/fleet"
 	"drapid/internal/rdd"
+	"drapid/internal/spe"
 	"drapid/internal/sps"
 )
 
 // This file is the public face of the scale-out layer (DESIGN.md §9):
 // engine options that attach a worker fleet and a job journal, the
-// DetectJob sharding knobs, the fleet work function that routes a sharded
-// detect job through the coordinator, and the recovery/drain lifecycle a
-// daemon builds graceful restart on.
+// DetectJob sharding knobs, the fleet event source that routes a sharded
+// detect job's search through the coordinator, and the recovery/drain
+// lifecycle a daemon builds graceful restart on.
 
 // ErrDraining is what Submit and SubmitDetect return once Drain has been
 // called: the engine finishes what it has but accepts nothing new.
@@ -37,7 +36,7 @@ const (
 	// ShardByTime splits the observation into owned time ranges with
 	// dispersion-and-normalisation overlap. Bounded per-worker input, but
 	// approximate at shard seams (slice-local normalisation differs in
-	// final ulps); requires an explicit NormWindow.
+	// final ulps).
 	ShardByTime = "time"
 )
 
@@ -355,119 +354,42 @@ func (e *Engine) claimID(id string) error {
 	return nil
 }
 
-// detectWorkFleet is the sharded detect work function: plan shards, run
-// them across the coordinator's fleet, and feed the merged event stream
-// through the same segmenter the streaming path uses — so the final
-// candidate and sifted records are record-for-record what a single-engine
-// run produces (segment-partitioning invariance, DESIGN.md §7.3, plus the
-// fleet merge contract, §9).
-func (e *Engine) detectWorkFleet(j *Job, spec DetectJob, grid *dmgrid.Grid) func() (Result, error) {
-	return func() (Result, error) {
-		start := time.Now()
-		ingest := j.trace.Span(sps.StageIngest)
-		raw := spec.Filterbank
-		if spec.Synth != nil {
-			var err error
-			raw, err = GenerateFilterbank(*spec.Synth)
-			if err != nil {
-				ingest.End()
-				return Result{}, fmt.Errorf("drapid: generating observation: %w", err)
-			}
-		}
-		fb, err := sps.Read(bytes.NewReader(raw))
-		if err != nil {
-			ingest.End()
-			return Result{}, fmt.Errorf("drapid: reading filterbank: %w", err)
-		}
-		ingest.SetRecords(0, int64(fb.NSamples))
-		ingest.AddBytes(int64(len(raw)))
-		ingest.End()
-		key, err := observationKey(spec.Key, fb.Header)
-		if err != nil {
-			return Result{}, err
-		}
-		search := fleet.SearchSpec{
-			Widths:     spec.Widths,
-			Threshold:  spec.Threshold,
-			NormWindow: spec.NormWindow,
-			ZeroDM:     !spec.NoZeroDM,
-			Plan:       spec.Plan,
-		}
-		var shards []fleet.ShardSpec
-		timeOrder := false
-		switch spec.ShardBy {
-		case "", ShardByDM:
-			shards = fleet.PlanDM(j.id, raw, grid.Trials(), search, spec.Shards)
-		case ShardByTime:
-			timeOrder = true
-			shards, err = fleet.PlanTime(j.id, fb, grid.Trials(), search, spec.Shards)
-			if err != nil {
-				return Result{}, err
-			}
-		}
-		j.setFleet(FleetProgress{Workers: e.coord.Workers(), Shards: len(shards)})
-
-		partsPerCore := e.partsPerCore
-		if spec.PartitionsPerCore > 0 {
-			partsPerCore = spec.PartitionsPerCore
-		}
-		seg := &segmenter{
-			e: e, j: j, grid: grid, key: key,
-			params:       detectSearchParams(grid),
-			partsPerCore: partsPerCore,
-			feat:         detectFeatures(grid, fb.Header),
-			// DM mode merges at a barrier — all events arrive at once, so
-			// one Prepare over the lot keeps observation-global features
-			// (ClusterRank) bit-identical to the unsharded run. Time mode
-			// streams through the quiet-gap segmenter like BlockSamples.
-			single: !timeOrder,
-		}
-		stats, status, err := e.coord.Run(j.ctx, shards, seg.onEvents, fleet.RunOptions{
-			TimeOrder:  timeOrder,
-			OnProgress: func(s fleet.JobStatus) { j.updateFleet(s) },
-		})
-		if err != nil {
-			return Result{}, fmt.Errorf("drapid: fleet search: %w", err)
-		}
-		if err := seg.finish(); err != nil {
-			return Result{}, err
-		}
-		res := seg.total
-		res.Detections = stats.Events
-		res.Plan = stats.Plan
-		res.OutDir = "jobs/" + j.id + "/ml"
-		res.Fleet = &FleetProgress{
-			Workers:     e.coord.Workers(),
-			Shards:      status.Shards,
-			Done:        status.Done,
-			Resubmitted: status.Resubmitted,
-		}
-		if j.sift != nil {
-			sift := j.trace.Span("sift")
-			view := j.Top(0)
-			sift.SetRecords(0, int64(len(view.Top)))
-			sift.End()
-			res.TopCandidates, res.Sources = view.Top, view.Sources
-		}
-		// Fleet DetectSeconds covers the whole coordinator loop. From the
-		// coordinator's clock every shard-side stage — zerodm included —
-		// is concurrent busy time, so zerodm joins the apportioned kernels
-		// and ALL stage walls partition the elapsed detect time.
-		res.DetectSeconds = time.Since(start).Seconds()
-		applyDetectStages(j.trace, stats.StageSeconds, res.DetectSeconds,
-			append([]string{sps.StageZeroDM}, detectStageKernels...))
-		return res, nil
+// searchFleet is the detect driver's fleet-merge event source (DESIGN.md
+// §9): plan shards over the ingested observation, run them across the
+// coordinator's fleet, and deliver the merged event stream to emit — one
+// barrier batch for DM shards, time-ordered batches for time shards — so
+// the segmenter sees what a single-engine search would have emitted.
+func (e *Engine) searchFleet(j *Job, spec DetectJob, grid *dmgrid.Grid, in detectInput, emit func([]spe.SPE) error) (sps.Stats, *FleetProgress, error) {
+	search := fleet.SearchSpec{
+		Widths:     spec.Widths,
+		Threshold:  spec.Threshold,
+		NormWindow: spec.NormWindow,
+		ZeroDM:     !spec.NoZeroDM,
+		Plan:       spec.Plan,
 	}
-}
-
-// detectFeatures builds the feature-extraction config from a header (the
-// shared piece of the batch, streaming and fleet paths).
-func detectFeatures(grid *dmgrid.Grid, hdr sps.Header) features.Config {
-	return features.Config{
-		Grid:    grid,
-		BandMHz: hdr.BandwidthMHz(),
-		FreqGHz: hdr.CenterFreqGHz(),
+	var shards []fleet.ShardSpec
+	if spec.shardsByDM() {
+		shards = fleet.PlanDM(j.id, in.raw, grid.Trials(), search, spec.Shards)
+	} else {
+		var err error
+		if shards, err = fleet.PlanTime(j.id, in.fb, grid.Trials(), search, spec.Shards); err != nil {
+			return sps.Stats{}, nil, err
+		}
 	}
+	j.setFleet(FleetProgress{Workers: e.coord.Workers(), Shards: len(shards)})
+	stats, status, err := e.coord.Run(j.ctx, shards, emit, fleet.RunOptions{
+		TimeOrder:  !spec.shardsByDM(),
+		OnProgress: func(s fleet.JobStatus) { j.updateFleet(s) },
+	})
+	if err != nil {
+		return sps.Stats{}, nil, err
+	}
+	return stats, &FleetProgress{
+		Workers:     e.coord.Workers(),
+		Shards:      status.Shards,
+		Done:        status.Done,
+		Resubmitted: status.Resubmitted,
+	}, nil
 }
 
 // newFleet builds the engine's coordinator from the configured local and

@@ -110,20 +110,28 @@ func TestFleetDetectMatchesSingleEngine(t *testing.T) {
 }
 
 // TestFleetTimeShardingRuns covers the approximate axis end to end: a
-// time-sharded job must run, stream candidates, and recover the injected
-// pulses (exact record identity is only promised for DM sharding).
+// time-sharded job must run and stream candidates (exact record identity
+// is only promised for DM sharding), with an explicit NormWindow and with
+// the default one.
 func TestFleetTimeShardingRuns(t *testing.T) {
 	engine, err := drapid.New(drapid.WithWorkers(4), drapid.WithFleetWorkers(2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer engine.Close()
-	lines, res := runDetect(t, engine, fleetDetectJob(2, drapid.ShardByTime))
-	if len(lines) == 0 {
-		t.Fatal("time-sharded run produced no candidates")
-	}
-	if res.Fleet == nil || res.Fleet.Shards < 2 {
-		t.Fatalf("Result.Fleet = %+v, want >= 2 time shards", res.Fleet)
+	defaultWindow := fleetDetectJob(2, drapid.ShardByTime)
+	defaultWindow.NormWindow = 0
+	for name, spec := range map[string]drapid.DetectJob{
+		"explicit window": fleetDetectJob(2, drapid.ShardByTime),
+		"default window":  defaultWindow,
+	} {
+		lines, res := runDetect(t, engine, spec)
+		if len(lines) == 0 {
+			t.Fatalf("%s: time-sharded run produced no candidates", name)
+		}
+		if res.Fleet == nil || res.Fleet.Shards < 2 {
+			t.Fatalf("%s: Result.Fleet = %+v, want >= 2 time shards", name, res.Fleet)
+		}
 	}
 }
 
@@ -312,7 +320,6 @@ func TestFleetValidation(t *testing.T) {
 	cases := map[string]drapid.DetectJob{
 		"no fleet":              {Synth: &spec, Shards: 2},
 		"bad axis":              {Synth: &spec, Shards: 2, ShardBy: "beam"},
-		"time without window":   {Synth: &spec, Shards: 2, ShardBy: drapid.ShardByTime},
 		"shards with streaming": {Synth: &spec, Shards: 2, BlockSamples: 4096},
 		"negative shards":       {Synth: &spec, Shards: -1},
 	}

@@ -189,11 +189,28 @@ func TestTimeShardingNearExact(t *testing.T) {
 	}
 }
 
-// TestPlanTimeRequiresNormWindow pins the documented restriction.
-func TestPlanTimeRequiresNormWindow(t *testing.T) {
+// TestPlanTimeDefaultsNormWindow pins that a zero NormWindow plans the
+// overlap of the window the workers' searches resolve: the same slices as
+// an explicit sps.DefaultNormWindow.
+func TestPlanTimeDefaultsNormWindow(t *testing.T) {
 	fb, _ := testObservation(t)
-	if _, err := PlanTime("job", fb, testGrid(), SearchSpec{Threshold: 6}, 2); err == nil {
-		t.Fatal("PlanTime accepted NormWindow = 0")
+	got, err := PlanTime("job", fb, testGrid(), SearchSpec{Threshold: 6}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := PlanTime("job", fb, testGrid(), SearchSpec{Threshold: 6, NormWindow: sps.DefaultNormWindow}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("NormWindow 0 planned %d shards, DefaultNormWindow %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i].SampleOff != want[i].SampleOff || got[i].OwnLo != want[i].OwnLo ||
+			got[i].OwnHi != want[i].OwnHi || got[i].FilterbankDigest != want[i].FilterbankDigest {
+			t.Errorf("shard %d: NormWindow 0 planned owned [%d, %d) from sample %d, DefaultNormWindow [%d, %d) from %d",
+				i, got[i].OwnLo, got[i].OwnHi, got[i].SampleOff, want[i].OwnLo, want[i].OwnHi, want[i].SampleOff)
+		}
 	}
 }
 

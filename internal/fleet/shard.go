@@ -190,12 +190,10 @@ func PlanDM(job string, raw []byte, dms []float64, search SearchSpec, n int) []S
 // window and the boxcar merge reach. n is clamped so every slice is long
 // enough to search every trial the whole observation can (a slice shorter
 // than the largest sweep would silently skip trials the single-engine run
-// searches). Time shards require an explicit NormWindow: whole-series
-// (global-moment) normalisation is inherently unsliceable.
+// searches). The overlap is sized from the window the workers' searches
+// resolve (sps.NormWindowOrDefault), so a zero NormWindow plans exactly
+// like an explicit DefaultNormWindow.
 func PlanTime(job string, fb *sps.Filterbank, dms []float64, search SearchSpec, n int) ([]ShardSpec, error) {
-	if search.NormWindow <= 0 {
-		return nil, fmt.Errorf("fleet: time sharding requires an explicit NormWindow (global-moment normalisation cannot be sliced)")
-	}
 	maxWidth := 1
 	widths := search.Widths
 	if len(widths) == 0 {
@@ -207,7 +205,7 @@ func PlanTime(job string, fb *sps.Filterbank, dms []float64, search SearchSpec, 
 		}
 	}
 	sweep := sps.MaxShift(fb.Header, dms[len(dms)-1])
-	overlap := sweep + search.NormWindow + 4*maxWidth
+	overlap := sweep + sps.NormWindowOrDefault(search.NormWindow) + 4*maxWidth
 	if maxShards := fb.NSamples / (overlap + 1); n > maxShards {
 		n = maxShards
 	}

@@ -22,7 +22,8 @@ type Config struct {
 	// DefaultThreshold.
 	Threshold float64
 	// NormWindow is the running-normalisation window in samples
-	// (Normalize); zero uses the global moments of each trial's series.
+	// (Normalize); zero takes DefaultNormWindow, on every driver (batch,
+	// block streaming and fleet shards alike — see NormWindowOrDefault).
 	NormWindow int
 	// ZeroDM applies ZeroDMFilter before dedispersion, cancelling
 	// broadband RFI at the cost of one filtered copy of the data block
@@ -50,9 +51,8 @@ type Config struct {
 	// samples with the dispersion overlap carried between them, and the
 	// emitted events are record-for-record identical to the batch path for
 	// any block size (BlockSamples must cover the largest trial's sweep) and
-	// any worker count — provided NormWindow is explicit, since streaming
-	// substitutes DefaultNormWindow for the batch default of global
-	// moments. Zero (the default) keeps the whole-file batch kernels.
+	// any worker count, under the same NormWindow default as batch. Zero
+	// (the default) keeps the whole-file batch kernels.
 	BlockSamples int
 	// Exec configures the worker pool the DM trials fan out on — the same
 	// executor the distributed engine's stages use, so a search submitted
@@ -215,7 +215,7 @@ func Search(ctx context.Context, fb *Filterbank, cfg Config) ([]spe.SPE, Stats, 
 		}
 		return out, stats, nil
 	}
-	widths, threshold, sub, planDesc, err := resolveSearch(fb.Header, cfg)
+	widths, threshold, sub, planDesc, err := resolveSearch(fb.Header, &cfg)
 	if err != nil {
 		return nil, stats, err
 	}
@@ -257,8 +257,8 @@ func Search(ctx context.Context, fb *Filterbank, cfg Config) ([]spe.SPE, Stats, 
 
 // resolveSearch validates the search parameters shared by the batch and
 // streaming drivers — the trial grid, the width ladder, the threshold —
-// and resolves the dedispersion plan.
-func resolveSearch(hdr Header, cfg Config) (widths []int, threshold float64, sub *SubbandPlan, planDesc string, err error) {
+// resolves the dedispersion plan, and defaults cfg.NormWindow in place.
+func resolveSearch(hdr Header, cfg *Config) (widths []int, threshold float64, sub *SubbandPlan, planDesc string, err error) {
 	if len(cfg.DMs) == 0 {
 		return nil, 0, nil, "", fmt.Errorf("sps: no trial DMs")
 	}
@@ -290,6 +290,7 @@ func resolveSearch(hdr Header, cfg Config) (widths []int, threshold float64, sub
 	if err != nil {
 		return nil, 0, nil, "", err
 	}
+	cfg.NormWindow = NormWindowOrDefault(cfg.NormWindow)
 	return widths, threshold, sub, planDesc, nil
 }
 

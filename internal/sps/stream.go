@@ -26,12 +26,22 @@ import (
 // scan positions for BoxcarDetect, and the overlap rows for the
 // dedispersion kernels.
 
-// DefaultNormWindow is the running-normalisation window (in samples) the
-// streaming driver substitutes when Config.NormWindow is zero: the batch
-// default — global moments — needs the whole series, which bounded-memory
-// streaming cannot hold. Set NormWindow explicitly to compare the two
-// paths event-for-event.
+// DefaultNormWindow is the running-normalisation window (in samples) every
+// search takes when Config.NormWindow is zero. Global moments would need
+// the whole series, which neither bounded-memory streaming nor a time
+// shard holds; one windowed default keeps batch, block streaming and both
+// fleet shard axes searching the same normalised series.
 const DefaultNormWindow = 2048
+
+// NormWindowOrDefault resolves a configured normalisation window: zero (or
+// negative) takes DefaultNormWindow. Every search driver resolves through
+// it, as does the fleet's time-shard planner when sizing its overlap.
+func NormWindowOrDefault(window int) int {
+	if window <= 0 {
+		return DefaultNormWindow
+	}
+	return window
+}
 
 // normStream is Normalize as an incremental state machine: it carries the
 // running prefix sums of x and x² (accumulated in exactly the batch order,
@@ -649,7 +659,7 @@ func searchBlockStream(ctx context.Context, hdr Header, open func(overlap int) (
 	if cfg.TrialLo != 0 || cfg.TrialHi != 0 {
 		return stats, fmt.Errorf("sps: the streaming search does not support a trial range (TrialLo/TrialHi); restrict batch searches only")
 	}
-	widths, threshold, sub, planDesc, err := resolveSearch(hdr, cfg)
+	widths, threshold, sub, planDesc, err := resolveSearch(hdr, &cfg)
 	if err != nil {
 		return stats, err
 	}
@@ -663,14 +673,10 @@ func searchBlockStream(ctx context.Context, hdr Header, open func(overlap int) (
 		return stats, fmt.Errorf("sps: block of %d samples is smaller than the %d-sample dispersion sweep of trial DM %g; streaming needs BlockSamples >= %d",
 			cfg.BlockSamples, overlap, cfg.DMs[len(cfg.DMs)-1], overlap)
 	}
-	window := cfg.NormWindow
-	if window <= 0 {
-		window = DefaultNormWindow
-	}
 	sc := newStageClock()
 	trials := make([]*streamState, len(cfg.DMs))
 	for i, dm := range cfg.DMs {
-		trials[i] = &streamState{dm: dm, sweep: shifts.sweeps[i], norm: newNormStream(window), box: newBoxStream(widths, threshold), clock: sc}
+		trials[i] = &streamState{dm: dm, sweep: shifts.sweeps[i], norm: newNormStream(cfg.NormWindow), box: newBoxStream(widths, threshold), clock: sc}
 	}
 	src, err := open(overlap)
 	if err != nil {

@@ -115,9 +115,9 @@ type Progress struct {
 	State JobState `json:"state"`
 	// Candidates is the number of single pulses emitted so far.
 	Candidates int `json:"candidates"`
-	// Detections is the number of raw frontend threshold crossings, once a
-	// detect job's search phase has completed (zero before that and for
-	// identification jobs).
+	// Detections is the number of raw frontend threshold crossings a
+	// detect job's search has delivered so far (zero for identification
+	// jobs).
 	Detections int `json:"detections,omitempty"`
 	// RecordsDropped counts malformed key groups the search phase
 	// discarded (previously invisible; see rdd.Metrics.RecordsDropped).
@@ -152,9 +152,10 @@ type Result struct {
 	// frontend emitted before clustering (detect jobs only; zero for
 	// identification jobs, whose inputs arrive pre-detected).
 	Detections int `json:"detections,omitempty"`
-	// DetectSeconds is the wall-clock time the dedispersion + matched
-	// filtering frontend took (detect jobs only); WallSeconds covers the
-	// downstream identification pipeline.
+	// DetectSeconds is the wall-clock time of the whole detect job, from
+	// the start of its work (ingest) to the final sift view, the same for
+	// whole-file, block-streaming and sharded jobs (detect jobs only).
+	// WallSeconds is the part of it the identification pipeline ran.
 	DetectSeconds float64 `json:"detect_seconds,omitempty"`
 	// Plan describes the dedispersion strategy the frontend ran (detect
 	// jobs only): "brute", or a subband summary like
@@ -172,21 +173,19 @@ type Result struct {
 	Tasks     int `json:"tasks"`
 	// Stages is the per-pipeline-stage breakdown (DESIGN.md §10):
 	// ingest, zerodm, dedisperse, normalise, boxcar, cluster, classify,
-	// sift — wall seconds plus record/byte volumes. For detect jobs the
-	// detect-phase stage walls sum to DetectSeconds (streaming and fleet
-	// jobs: all stages; batch jobs: the stages before cluster, since
-	// batch DetectSeconds stops at the search). Concurrent kernel stages
-	// report their *share* of elapsed time (busy seconds apportioned
-	// onto the measured fan-out wall), so the partition holds at any
-	// worker count.
+	// sift — wall seconds plus record/byte volumes. For detect jobs every
+	// stage wall joins the partition: together they sum to DetectSeconds.
+	// Concurrent kernel stages report their *share* of elapsed time (busy
+	// seconds apportioned onto the measured fan-out wall), so the
+	// partition holds at any worker count.
 	Stages map[string]StageStats `json:"stages,omitempty"`
 	// ShuffleBytes and SpillBytes snapshot the engine counters.
 	ShuffleBytes int64 `json:"shuffle_bytes"`
 	SpillBytes   int64 `json:"spill_bytes"`
 	// OutDir is the engine-filesystem directory holding the job's saved
-	// ML part files. Streaming detect jobs (DetectJob.BlockSamples /
-	// FilterbankStream) write one seg-N subdirectory beneath it per
-	// identified segment rather than part files at the top level.
+	// ML part files. Detect jobs write one seg-N subdirectory beneath it
+	// per identified segment (a whole-file job: seg-1 alone) rather than
+	// part files at the top level.
 	OutDir string `json:"out_dir"`
 	// TopCandidates is the ranked sifted view of the observation's DBSCAN
 	// groups (detect jobs only, unless DetectJob.Sift.Disable), bounded by
@@ -369,16 +368,8 @@ func (j *Job) pipelineWork(cfg pipeline.JobConfig) func() (Result, error) {
 	}
 }
 
-// setDetections records the frontend's raw event count once a detect
-// job's search phase completes, making it visible in Progress mid-run.
-func (j *Job) setDetections(n int) {
-	j.mu.Lock()
-	j.detections = n
-	j.mu.Unlock()
-}
-
-// addDetections accumulates raw frontend events as a streaming detect
-// job's blocks complete, so Progress.Detections grows while the
+// addDetections accumulates raw frontend events as the detect source
+// delivers them, so Progress.Detections grows while a streaming
 // observation is still being ingested.
 func (j *Job) addDetections(n int) {
 	j.mu.Lock()

@@ -158,9 +158,8 @@ func TestDetectJobTopRecall(t *testing.T) {
 // TestTopRankedBatchStreamEquivalence is the PR's headline invariant: the
 // ranked sifted output — candidates and sources — must be record-for-record
 // identical between the whole-file batch path and the block-streaming path,
-// for every tested block size and worker count. NormWindow is pinned so
-// both modes normalise identically (batch's global-moments default has no
-// streaming equivalent).
+// for every tested block size and worker count, under the default
+// NormWindow both modes share.
 func TestTopRankedBatchStreamEquivalence(t *testing.T) {
 	spec := siftSynthSpec()
 	run := func(workers, block int) (drapid.Result, error) {
@@ -172,7 +171,6 @@ func TestTopRankedBatchStreamEquivalence(t *testing.T) {
 		job, err := engine.SubmitDetect(context.Background(), drapid.DetectJob{
 			Synth:        &spec,
 			Threshold:    6.5,
-			NormWindow:   1024,
 			NoZeroDM:     true,
 			BlockSamples: block,
 			Sift:         drapid.Sift{Top: 50},
