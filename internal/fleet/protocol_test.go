@@ -1,11 +1,11 @@
 package fleet
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -15,92 +15,8 @@ import (
 	"time"
 
 	"drapid/internal/obs"
-	"drapid/internal/rdd"
 	"drapid/internal/spe"
 )
-
-// legacyHandler replicates the v1 worker wire behaviour exactly: POST
-// /v1/shard answering NDJSON regardless of Accept, inline observations
-// only, and no /v1/blob routes at all (so blob probes get a bare 404
-// with no Drapid-Proto header). The negotiation tests run against it to
-// prove a v2 coordinator degrades to the old protocol transparently.
-func legacyHandler(exec rdd.ExecConfig) http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /v1/shard/ping", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		fmt.Fprintln(w, `{"ok":true}`)
-	})
-	mux.HandleFunc("POST /v1/shard", func(w http.ResponseWriter, r *http.Request) {
-		var spec ShardSpec
-		if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		w.Header().Set("Content-Type", MediaNDJSON)
-		w.WriteHeader(http.StatusOK)
-		enc := json.NewEncoder(w)
-		rc := http.NewResponseController(w)
-		stats, err := RunShard(r.Context(), spec, exec, func(events []spe.SPE) error {
-			if err := enc.Encode(shardLine{Events: toWire(events)}); err != nil {
-				return err
-			}
-			return rc.Flush()
-		})
-		if err != nil {
-			enc.Encode(shardLine{Error: err.Error()})
-			return
-		}
-		enc.Encode(shardLine{Done: true, Stats: &wireStats{
-			Trials: stats.Trials, Samples: stats.Samples, Events: stats.Events, Plan: stats.Plan,
-			StageSeconds: stats.StageSeconds,
-		}})
-	})
-	return mux
-}
-
-// TestProtocolNegotiationMixedFleet runs one DM-sharded job over a fleet
-// of one v1 (JSON-only, inline-only) worker and one v2 worker and checks
-// the merged output is record-for-record identical to the unsharded
-// reference — the bit-exact merge contract holds across protocol
-// generations, so fleets can upgrade one worker at a time.
-func TestProtocolNegotiationMixedFleet(t *testing.T) {
-	fb, raw := testObservation(t)
-	dms := testGrid()
-	search := SearchSpec{Threshold: 6, Plan: "brute", NormWindow: 1024}
-	want := unshardedEvents(t, fb, search, dms)
-	if len(want) == 0 {
-		t.Fatal("reference search found no events")
-	}
-
-	v1 := httptest.NewServer(legacyHandler(testExec()))
-	defer v1.Close()
-	v2 := httptest.NewServer(NewHandler(testExec(), NewBlobCache(0, nil)))
-	defer v2.Close()
-	r1 := NewRemote("v1", v1.URL, nil)
-	r2 := NewRemote("v2", v2.URL, nil)
-
-	c := NewCoordinator(Config{Heartbeat: time.Hour}, r1, r2)
-	defer c.Close()
-	shards := PlanDM("job", raw, dms, search, 4)
-	var got []spe.SPE
-	if _, _, err := c.Run(context.Background(), shards, func(evs []spe.SPE) error {
-		got = append(got, evs...)
-		return nil
-	}, RunOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	if !eventsEqual(want, got) {
-		t.Fatalf("mixed v1/v2 merge differs from unsharded (%d vs %d events)", len(got), len(want))
-	}
-	// The negotiation must actually have split: the v1 remote learned to
-	// ship inline, the v2 remote learned blob dispatch.
-	if r1.proto != protoLegacy {
-		t.Fatalf("v1 remote learned proto %d, want %d (legacy)", r1.proto, protoLegacy)
-	}
-	if r2.proto != protoBlob {
-		t.Fatalf("v2 remote learned proto %d, want %d (blob)", r2.proto, protoBlob)
-	}
-}
 
 // TestBlobDispatchUploadsOnce pins the tentpole economics: a v2 worker
 // receives the observation body exactly once per cache lifetime — every
@@ -184,129 +100,14 @@ func TestBlobEvictionReupload(t *testing.T) {
 	}
 }
 
-// TestGzipBlobUpload exercises the optional compressed upload path end
-// to end: the worker decompresses, verifies the digest, and serves the
-// shard normally.
-func TestGzipBlobUpload(t *testing.T) {
-	_, raw := testObservation(t)
-	dms := testGrid()
-	search := SearchSpec{Threshold: 6, Plan: "brute", NormWindow: 1024}
-	shards := PlanDM("job", raw, dms, search, 1)
-
-	cache := NewBlobCache(0, nil)
-	ts := httptest.NewServer(NewHandler(testExec(), cache))
-	defer ts.Close()
-	remote := NewRemote("w0", ts.URL, nil, WithGzipBlobs())
-	want, _, err := collectShard(shards[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got []spe.SPE
-	if _, err := remote.Run(context.Background(), shards[0], func(evs []spe.SPE) error {
-		got = append(got, evs...)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if !eventsEqual(want, got) {
-		t.Fatalf("gzip-uploaded shard events differ from local (%d vs %d)", len(got), len(want))
-	}
-	if !cache.Contains(shards[0].FilterbankDigest) {
-		t.Fatal("gzip upload did not land in the cache")
-	}
-}
-
-// TestRemoteHugeEventLine is the regression test for the 64 MiB
-// bufio.Scanner cap Remote.Run's NDJSON path used to carry: one events
-// line far past that bound must decode completely. json.Decoder reads
-// values, not lines, so no buffer ceiling applies.
-func TestRemoteHugeEventLine(t *testing.T) {
-	if testing.Short() {
-		t.Skip("streams >64 MiB of JSON")
-	}
-	const n = 1_400_000 // ≈ 78 MB of events on one NDJSON line
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", MediaNDJSON)
-		w.WriteHeader(http.StatusOK)
-		bw := bufio.NewWriterSize(w, 1<<20)
-		bw.WriteString(`{"events":[`)
-		for i := 0; i < n; i++ {
-			if i > 0 {
-				bw.WriteByte(',')
-			}
-			fmt.Fprintf(bw, `{"dm":1.5,"snr":9.25,"time":%d.5,"sample":%d,"downfact":3}`, i, i)
-		}
-		bw.WriteString("]}\n")
-		bw.WriteString(`{"done":true,"stats":{"trials":1,"samples":1,"events":` + strconv.Itoa(n) + `}}` + "\n")
-		bw.Flush()
-	}))
-	defer ts.Close()
-
-	remote := NewRemote("huge", ts.URL, nil)
-	total := 0
-	var last spe.SPE
-	stats, err := remote.Run(context.Background(), ShardSpec{Job: "j", Shards: 1}, func(evs []spe.SPE) error {
-		total += len(evs)
-		last = evs[len(evs)-1]
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if total != n {
-		t.Fatalf("decoded %d events, want %d", total, n)
-	}
-	if last.Sample != n-1 || last.Downfact != 3 {
-		t.Fatalf("last event %+v, want sample %d", last, n-1)
-	}
-	if stats.Events != n {
-		t.Fatalf("stats.Events = %d, want %d", stats.Events, n)
-	}
-}
-
-// TestFramedRoundTripMatchesNDJSON drives the same real shard through
-// both response encodings and checks byte-identical results: the binary
-// frames are an encoding change, not a semantic one.
-func TestFramedRoundTripMatchesNDJSON(t *testing.T) {
-	_, raw := testObservation(t)
-	dms := testGrid()
-	search := SearchSpec{Threshold: 6, Plan: "brute", NormWindow: 1024}
-	shards := PlanDM("job", raw, dms, search, 2)
-
-	v1 := httptest.NewServer(legacyHandler(testExec()))
-	defer v1.Close()
-	v2 := httptest.NewServer(NewHandler(testExec(), NewBlobCache(0, nil)))
-	defer v2.Close()
-
-	for _, s := range shards {
-		var ndjson, framed []spe.SPE
-		sJSON, err := NewRemote("v1", v1.URL, nil).Run(context.Background(), s, func(evs []spe.SPE) error {
-			ndjson = append(ndjson, evs...)
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sBin, err := NewRemote("v2", v2.URL, nil).Run(context.Background(), s, func(evs []spe.SPE) error {
-			framed = append(framed, evs...)
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !eventsEqual(ndjson, framed) {
-			t.Fatalf("shard %d: framed events differ from NDJSON (%d vs %d)", s.Index, len(framed), len(ndjson))
-		}
-		if sJSON.Trials != sBin.Trials || sJSON.Samples != sBin.Samples || sJSON.Events != sBin.Events || sJSON.Plan != sBin.Plan {
-			t.Fatalf("shard %d: stats differ across encodings: %+v vs %+v", s.Index, sJSON, sBin)
-		}
-	}
-}
-
 // TestFramedStreamCut pins the completion contract on the binary path:
 // a frame stream cut before its terminator fails the attempt.
 func TestFramedStreamCut(t *testing.T) {
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodHead {
+			w.WriteHeader(http.StatusNoContent) // the blob is "resident"
+			return
+		}
 		w.Header().Set("Content-Type", MediaFrames)
 		w.WriteHeader(http.StatusOK)
 		fw := &frameWriter{w: w}
@@ -316,8 +117,126 @@ func TestFramedStreamCut(t *testing.T) {
 	}))
 	defer ts.Close()
 	remote := NewRemote("cut", ts.URL, nil)
-	_, err := remote.Run(context.Background(), ShardSpec{Job: "j", Shards: 1}, func([]spe.SPE) error { return nil })
+	_, err := remote.Run(context.Background(), fakeSpec(), func([]spe.SPE) error { return nil })
 	if err == nil || !strings.Contains(err.Error(), "stream") {
 		t.Fatalf("cut frame stream: err = %v, want stream failure", err)
 	}
+}
+
+// fakeSpec is a minimal valid spec for fake servers, which never read
+// the observation its digest names.
+func fakeSpec() ShardSpec {
+	return ShardSpec{Job: "j", Shards: 1, FilterbankDigest: Digest(nil), DMs: []float64{0}}
+}
+
+// TestPingChecksProtocol pins the protocol version check: a worker whose
+// ping does not report this protocol fails Ping, and WaitReady surfaces
+// that error instead of a bare timeout.
+func TestPingChecksProtocol(t *testing.T) {
+	old := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		fmt.Fprintln(w, `{"ok":true}`)
+	}))
+	defer old.Close()
+	remote := NewRemote("old", old.URL, nil)
+	const want = "fleet: worker old speaks shard protocol 0, want 2"
+	if err := remote.Ping(context.Background()); err == nil || err.Error() != want {
+		t.Fatalf("Ping against a worker without proto: err = %v, want %q", err, want)
+	}
+	if err := WaitReady(context.Background(), remote, 100*time.Millisecond); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("WaitReady: err = %v, want it to carry %q", err, want)
+	}
+
+	cur := httptest.NewServer(Handler(testExec()))
+	defer cur.Close()
+	if err := WaitReady(context.Background(), NewRemote("cur", cur.URL, nil), time.Second); err != nil {
+		t.Fatalf("WaitReady against a current worker: %v", err)
+	}
+}
+
+// TestShardPOSTBounds pins the admission of shard specs: an oversized
+// body is 413, a spec with no or a malformed digest is 400, and none of
+// them disturbs the worker, which still serves a good shard afterwards.
+func TestShardPOSTBounds(t *testing.T) {
+	_, raw := testObservation(t)
+	ts := httptest.NewServer(NewHandler(testExec(), NewBlobCache(0, nil)))
+	defer ts.Close()
+
+	for _, tc := range []struct {
+		name string
+		body []byte
+		want int
+	}{
+		{"oversized", append([]byte(`{"job":"`), bytes.Repeat([]byte("a"), maxShardSpecBytes)...), http.StatusRequestEntityTooLarge},
+		{"no digest", []byte(`{"job":"j","dms":[0,1]}`), http.StatusBadRequest},
+		{"bad digest", []byte(`{"job":"j","filterbank_digest":"ABC","dms":[0,1]}`), http.StatusBadRequest},
+		{"not json", []byte(`{"job":`), http.StatusBadRequest},
+	} {
+		resp, err := http.Post(ts.URL+"/v1/shard", "application/json", bytes.NewReader(tc.body))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("%s: status %d, want %d", tc.name, resp.StatusCode, tc.want)
+		}
+	}
+
+	shards := PlanDM("job", raw, testGrid(), SearchSpec{Threshold: 6, Plan: "brute", NormWindow: 1024}, 2)
+	if _, err := NewRemote("w0", ts.URL, nil).Run(context.Background(), shards[0], func([]spe.SPE) error { return nil }); err != nil {
+		t.Fatalf("good shard after rejected specs: %v", err)
+	}
+}
+
+// TestRefusedBlobUpload pins the one way an observation can fail to
+// reach a worker: a blob cache smaller than the observation refuses the
+// upload, and the attempt fails naming the size and the flag to raise —
+// no shard POST is ever sent.
+func TestRefusedBlobUpload(t *testing.T) {
+	_, raw := testObservation(t)
+	shards := PlanDM("job", raw, testGrid(), SearchSpec{Threshold: 6, Plan: "brute", NormWindow: 1024}, 1)
+
+	inner := NewHandler(testExec(), NewBlobCache(int64(len(raw))/2, nil))
+	var postBytes atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost {
+			n, _ := io.Copy(io.Discard, r.Body)
+			postBytes.Add(n)
+		}
+		inner.ServeHTTP(w, r)
+	}))
+	defer ts.Close()
+
+	_, err := NewRemote("small", ts.URL, nil).Run(context.Background(), shards[0], func([]spe.SPE) error { return nil })
+	if err == nil || !strings.Contains(err.Error(), strconv.Itoa(len(raw))+"-byte") || !strings.Contains(err.Error(), "-blob-cache") {
+		t.Fatalf("refused upload: err = %v, want the %d-byte size and -blob-cache named", err, len(raw))
+	}
+	if n := postBytes.Load(); n != 0 {
+		t.Fatalf("refused upload still POSTed %d shard bytes", n)
+	}
+}
+
+// FuzzShardSpec feeds arbitrary bytes through the worker's spec
+// admission: decoding and validating must never panic, and a spec that
+// validates must name its observation by a well-formed digest.
+func FuzzShardSpec(f *testing.F) {
+	good, _ := json.Marshal(ShardSpec{Job: "j", Index: 1, Shards: 2, FilterbankDigest: Digest([]byte("obs")),
+		DMs: []float64{0, 1, 2}, TrialLo: 1, TrialHi: 3})
+	f.Add(good)
+	f.Add([]byte(`{"job":"j","dms":[0]}`))
+	f.Add([]byte(`{"filterbank_digest":"zz","dms":[],"own_lo":5,"own_hi":2}`))
+	f.Add([]byte(`null`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var spec ShardSpec
+		if json.Unmarshal(data, &spec) != nil {
+			return
+		}
+		if spec.Validate() == nil {
+			if err := ValidDigest(spec.FilterbankDigest); err != nil {
+				t.Fatalf("Validate accepted a spec with digest %q: %v", spec.FilterbankDigest, err)
+			}
+			if len(spec.Filterbank) != 0 {
+				t.Fatal("a decoded spec carried observation bytes")
+			}
+		}
+	})
 }

@@ -36,14 +36,14 @@ type ShardSpec struct {
 	Attempt int `json:"attempt,omitempty"`
 	// Filterbank is the raw SIGPROC observation this shard searches: the
 	// whole observation for DM shards, the owned slice plus overlap for
-	// time shards. On the v2 wire it is omitted in favour of
-	// FilterbankDigest — the worker resolves the bytes from its blob
-	// cache (DESIGN.md §12).
-	Filterbank []byte `json:"filterbank,omitempty"`
+	// time shards. It never goes on the wire inside a spec: Local reads
+	// it directly, Remote uploads it as a blob, and the worker resolves
+	// it from its blob cache by FilterbankDigest (DESIGN.md §12).
+	Filterbank []byte `json:"-"`
 	// FilterbankDigest is the content address (lowercase hex SHA-256) of
-	// Filterbank. Planning always sets it; a spec shipped by digest alone
-	// is only executable on a worker whose blob cache holds the bytes.
-	FilterbankDigest string `json:"filterbank_digest,omitempty"`
+	// Filterbank, and the only name a spec gives its observation on the
+	// wire. Planning always sets it.
+	FilterbankDigest string `json:"filterbank_digest"`
 	// DMs is the job's FULL ascending trial grid — never a subset, so
 	// dedispersion-plan resolution is identical on every worker (see the
 	// package comment).
@@ -64,17 +64,12 @@ type ShardSpec struct {
 	OwnHi     int64 `json:"own_hi,omitempty"`
 }
 
-// Validate checks the shard is executable: it must carry the
-// observation inline, or name it by digest (resolvable against a blob
-// cache before execution).
+// Validate checks the shard is executable: it must name its
+// observation by a well-formed digest (resolved against a blob cache
+// before execution on a worker).
 func (s ShardSpec) Validate() error {
-	if len(s.Filterbank) == 0 && s.FilterbankDigest == "" {
-		return fmt.Errorf("fleet: shard %s/%d has no filterbank", s.Job, s.Index)
-	}
-	if s.FilterbankDigest != "" {
-		if err := ValidDigest(s.FilterbankDigest); err != nil {
-			return fmt.Errorf("fleet: shard %s/%d: %w", s.Job, s.Index, err)
-		}
+	if err := ValidDigest(s.FilterbankDigest); err != nil {
+		return fmt.Errorf("fleet: shard %s/%d: %w", s.Job, s.Index, err)
 	}
 	if len(s.DMs) == 0 {
 		return fmt.Errorf("fleet: shard %s/%d has no trial grid", s.Job, s.Index)
@@ -101,8 +96,8 @@ func RunShard(ctx context.Context, spec ShardSpec, exec rdd.ExecConfig, emit fun
 		return sps.Stats{}, err
 	}
 	if len(spec.Filterbank) == 0 {
-		// A digest-only spec reaches execution only through a handler that
-		// failed to resolve it against the blob cache first.
+		// A spec reaches execution without bytes only when its caller
+		// failed to resolve the digest against a blob cache first.
 		return sps.Stats{}, fmt.Errorf("fleet: shard %s/%d: blob %s not resolved to bytes",
 			spec.Job, spec.Index, spec.FilterbankDigest)
 	}
@@ -162,8 +157,8 @@ func PlanDM(job string, raw []byte, dms []float64, search SearchSpec, n int) []S
 		n = 1
 	}
 	// One observation, one digest: every DM shard addresses the same
-	// blob, so a v2 worker receives the bytes at most once per job — and
-	// at most once across jobs while the blob stays cached.
+	// blob, so a worker receives the bytes at most once per job — and at
+	// most once across jobs while the blob stays cached.
 	digest := Digest(raw)
 	shards := make([]ShardSpec, 0, n)
 	for i := 0; i < n; i++ {
